@@ -38,12 +38,14 @@ class TestJournaledJobs:
         assert any(r["t"] == "epoch" for r in records)
 
     def test_cancel_truncates_journal_at_epoch_boundary(self, server,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        hold_jobs):
         """The satellite contract: DELETE on a running journaled job
         stops it at the next epoch boundary; every journal line parses
         and the final record is the ``truncated`` marker."""
         client = server.client()
         path = tmp_path / "cancelled.jsonl"
+        hold_jobs.hold("long")
         job = client.submit(
             tiny_spec(name="long", homes=4, duration_s=90.0),
             journal=str(path))
@@ -53,6 +55,7 @@ class TestJournaledJobs:
             time.sleep(0.02)
         summary = client.cancel(job["id"])
         assert summary["cancel_requested"]
+        hold_jobs.release()
         final = client.wait(job["id"], timeout=120)
         assert final["state"] == "cancelled"
         # read_journal raises on any malformed (non-final) line, so a

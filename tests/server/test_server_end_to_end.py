@@ -186,11 +186,13 @@ class TestErrorPaths:
             client.submit(tiny_spec(), timeout_s=-1)
         assert exc.value.status == 400
 
-    def test_result_before_done_409(self, client):
+    def test_result_before_done_409(self, client, hold_jobs):
+        hold_jobs.hold("slow")
         job = client.submit(tiny_spec(name="slow", duration_s=120.0))
         with pytest.raises(ServerError) as exc:
             client.result(job["id"])
         assert exc.value.status == 409
+        hold_jobs.release()
         client.wait(job["id"], timeout=120)
 
     def test_method_not_allowed_405(self, client):
@@ -203,14 +205,19 @@ class TestErrorPaths:
 
 
 class TestPriorityAndCancel:
-    def test_priority_order_and_queued_cancel(self):
+    def test_priority_order_and_queued_cancel(self, hold_jobs):
         """With one worker: a long job occupies it; a high-priority job
         then overtakes a low-priority one, and a queued job dies
         instantly when cancelled."""
+        hold_jobs.hold("blocker")
         with BackgroundServer(workers=1) as server:
             client = server.client()
             blocker = client.submit(tiny_spec(name="blocker",
                                               duration_s=90.0))
+            deadline = time.monotonic() + 60
+            while client.job(blocker["id"])["state"] == "queued":
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
             low = client.submit(tiny_spec(name="low", seed=1,
                                           duration_s=10.0, attack=False,
                                           activity=False), priority=0)
@@ -223,14 +230,16 @@ class TestPriorityAndCancel:
             assert cancelled["state"] == "cancelled"
             events = list(client.events(doomed["id"]))
             assert events[-1][0] == "cancelled"
+            hold_jobs.release()
 
             assert client.wait(blocker["id"], timeout=120)["state"] == "done"
             low_final = client.wait(low["id"], timeout=120)
             high_final = client.wait(high["id"], timeout=120)
             assert high_final["started_at"] < low_final["started_at"]
 
-    def test_cancel_running_job_cooperatively(self):
+    def test_cancel_running_job_cooperatively(self, hold_jobs):
         """A multi-home running job stops at the next home boundary."""
+        hold_jobs.hold("big")
         with BackgroundServer(workers=1) as server:
             client = server.client()
             job = client.submit(tiny_spec(name="big", homes=6,
@@ -241,6 +250,7 @@ class TestPriorityAndCancel:
                 time.sleep(0.02)
             summary = client.cancel(job["id"])
             assert summary["cancel_requested"]
+            hold_jobs.release()
             final = client.wait(job["id"], timeout=120)
             assert final["state"] == "cancelled"
             assert final["homes_done"] < final["homes_total"]
